@@ -76,7 +76,8 @@ def design_u1(net, ext_frac, signs, xi):
     base = threshold_income(net, ext_frac)
     u1 = base + signature_penalty(net, signs) + signs * xi
     b_tilde = offset_with_income(net, ext_frac, signs, u1)
-    assert (b_tilde >= -GAIN_TOL).all(), "designed offset went negative"
+    if not (b_tilde >= -GAIN_TOL).all():
+        raise NumericalBreakdown("designed offset went negative")
     return u1
 
 
@@ -271,8 +272,8 @@ class ControlPlan:
     signs: np.ndarray
 
     def __post_init__(self):
-        if self.K_tilde is not None:
-            assert np.abs(np.diag(self.K_tilde)).max() == 0.0
+        if self.K_tilde is not None and np.diag(self.K_tilde).any():
+            raise NumericalBreakdown("gain diagonal is not exactly zero")
 
     def u2_of(self, X):
         if self.K_tilde is None:

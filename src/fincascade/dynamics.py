@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import simulate_steps
 from .errors import DimensionMismatch
 
 
@@ -177,9 +176,26 @@ def simulate(net, ext_frac, x0, horizon):
         W @ net.thresholds - net.thresholds + ext_frac * net.external_income()
     )
     pen = np.ascontiguousarray(ext_frac * net.failure_cost)
-    hist = simulate_steps(W, drive, pen, x0, int(horizon))
+    hist = _simulate_steps(W, drive, pen, x0, int(horizon))
     signs = np.where(hist < 0.0, -1.0, 1.0)
     return Trajectory(hist, signs, _events_from_signs(signs))
+
+
+def _simulate_steps(W, drive, pen, x0, steps):
+    """Iterate ``x' = W x + drive - pen * (x < 0)`` for ``steps`` steps.
+
+    ``pen`` is the per-company penalty hit applied while a company sits
+    below its threshold.  Returns the ``(steps + 1, n)`` history.
+    """
+    n = x0.shape[0]
+    hist = np.empty((steps + 1, n))
+    hist[0, :] = x0
+    x = x0.copy()
+    for t in range(steps):
+        hit = np.where(x < 0.0, pen, 0.0)
+        x = np.dot(W, x) + drive - hit
+        hist[t + 1, :] = x
+    return hist
 
 
 def write_trajectory_csv(path, traj):

@@ -9,7 +9,7 @@ without objective improvement the rule drops to Bland's lowest-index
 selection until progress resumes, which rules out cycling.  Leaving
 rows use the minimum ratio with ties broken by lowest basis variable.
 The whole policy is deterministic, so identical inputs walk identical
-vertex sequences on either kernel path.
+vertex sequences.
 
 The problems built elsewhere in the package stay dense and moderate:
 gain synthesis has one variable per holdings entry and two constraint
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionMismatch, NumericalBreakdown
 
 OPTIMAL = "optimal"
@@ -38,6 +37,12 @@ COST_TOL = 1e-9
 PIVOT_TOL = 1e-11
 MAX_ITER = 100_000
 STALL_LIMIT = 10_000
+
+# Status codes returned by _simplex_iterate.
+SIMPLEX_OPTIMAL = 0
+SIMPLEX_UNBOUNDED = 1
+SIMPLEX_ITER_LIMIT = 2
+SIMPLEX_BREAKDOWN = 3
 
 
 @dataclass
@@ -229,15 +234,15 @@ def solve_lp(lp):
         T[m, n_struct : n_struct + na] = 1.0
         for i in art_rows:
             T[m, :] -= T[i, :]
-        status, it = _kernels.simplex_iterate(
+        status, it = _simplex_iterate(
             T, basis, width - 1, COST_TOL, PIVOT_TOL, MAX_ITER, STALL_LIMIT
         )
         iterations += it
-        if status == _kernels.SIMPLEX_BREAKDOWN:
+        if status == SIMPLEX_BREAKDOWN:
             raise NumericalBreakdown("pivot collapse during feasibility phase")
-        if status == _kernels.SIMPLEX_ITER_LIMIT:
+        if status == SIMPLEX_ITER_LIMIT:
             raise NumericalBreakdown("iteration cap hit during feasibility phase")
-        if status == _kernels.SIMPLEX_UNBOUNDED:
+        if status == SIMPLEX_UNBOUNDED:
             raise NumericalBreakdown("feasibility phase reported unbounded")
         w_star = -T[m, -1]
         if w_star > 1e-7 * (1.0 + float(np.abs(rhs).max(initial=0.0))):
@@ -272,21 +277,77 @@ def solve_lp(lp):
         if cb != 0.0:
             T2[m, :] -= cb * T2[i, :]
 
-    status, it = _kernels.simplex_iterate(
+    status, it = _simplex_iterate(
         T2, basis, n_struct, COST_TOL, PIVOT_TOL, MAX_ITER, STALL_LIMIT
     )
     iterations += it
-    if status == _kernels.SIMPLEX_BREAKDOWN:
+    if status == SIMPLEX_BREAKDOWN:
         raise NumericalBreakdown("pivot collapse during optimization phase")
-    if status == _kernels.SIMPLEX_ITER_LIMIT:
+    if status == SIMPLEX_ITER_LIMIT:
         raise NumericalBreakdown("iteration cap hit during optimization phase")
-    if status == _kernels.SIMPLEX_UNBOUNDED:
+    if status == SIMPLEX_UNBOUNDED:
         return LpSolution(UNBOUNDED, None, float("nan"), iterations)
 
     z_shift = np.zeros(n_struct)
     for i in range(m):
         z_shift[basis[i]] = T2[i, -1]
     return finish(z_shift[:nf], iterations)
+
+
+def _simplex_iterate(T, basis, n_allowed, tol_cost, tol_piv, max_iter, stall_limit):
+    """Simplex iterations on a dense tableau.
+
+    ``T`` is ``(m + 1, cols + 1)``: constraint rows then the reduced-cost
+    row, right-hand side in the last column.  Entering column: most
+    negative reduced cost below ``-tol_cost`` (ties to the lowest index);
+    after ``stall_limit`` pivots without objective progress the scan
+    drops to pure lowest-index selection, whose termination guarantee
+    breaks any cycle.  Leaving row: minimum ratio, ties broken by lowest
+    basis variable.  Mutates ``T`` and ``basis`` in place; returns
+    ``(status, iterations)``.
+    """
+    m = T.shape[0] - 1
+    rhs = T.shape[1] - 1
+    it = 0
+    lowest_index = False
+    stalled = 0
+    last_obj = T[m, rhs]
+    while it < max_iter:
+        if lowest_index:
+            neg = np.nonzero(T[m, :n_allowed] < -tol_cost)[0]
+            if neg.size == 0:
+                return SIMPLEX_OPTIMAL, it
+            enter = int(neg[0])
+        else:
+            enter = int(np.argmin(T[m, :n_allowed]))
+            if not T[m, enter] < -tol_cost:
+                return SIMPLEX_OPTIMAL, it
+        col = T[:m, enter]
+        elig = col > tol_piv
+        if not elig.any():
+            if (col > 0.0).any():
+                return SIMPLEX_BREAKDOWN, it
+            return SIMPLEX_UNBOUNDED, it
+        ratios = np.full(m, np.inf)
+        ratios[elig] = T[:m, rhs][elig] / col[elig]
+        best = ratios.min()
+        ties = np.nonzero(ratios == best)[0]
+        leave = int(ties[np.argmin(basis[ties])])
+        _pivot(T, leave, enter)
+        basis[leave] = enter
+        it += 1
+        # rhs of the cost row carries minus the objective, so improvement
+        # shows up as an increase
+        obj = T[m, rhs]
+        if obj > last_obj + 1e-12 * (1.0 + np.abs(last_obj)):
+            stalled = 0
+            lowest_index = False
+        else:
+            stalled += 1
+            if stalled >= stall_limit:
+                lowest_index = True
+        last_obj = obj
+    return SIMPLEX_ITER_LIMIT, it
 
 
 def _post_check(z, A_ub, b_ub, A_eq, b_eq, lb, fix_idx):

@@ -7,7 +7,6 @@ a cheap spectral-radius bound used by the stability checks.
 
 import numpy as np
 
-from ._kernels import gauss_solve, power_iter
 from .errors import DimensionMismatch, SingularMatrix
 
 # Relative pivot floor below which a matrix is declared singular.
@@ -69,12 +68,35 @@ def solve_linear(A, b):
         return np.zeros(0)
     scale = float(np.abs(A).max())
     floor = PIVOT_FLOOR * (scale if scale > 0.0 else 1.0)
-    y, ok = gauss_solve(A, b, floor)
-    if not ok:
-        raise SingularMatrix(
-            f"pivot below {floor:.3e} during elimination (max|A| = {scale:.3e})"
-        )
-    return y
+    return _gauss_solve(A, b, floor)
+
+
+def _gauss_solve(A, b, pivot_floor):
+    """Gaussian elimination with partial pivoting on copies of A, b.
+
+    Raises :class:`SingularMatrix` when a pivot magnitude falls below
+    ``pivot_floor``.
+    """
+    n = A.shape[0]
+    U = A.copy()
+    y = b.copy()
+    for k in range(n):
+        p = k + np.argmax(np.abs(U[k:, k]))
+        if np.abs(U[p, k]) < pivot_floor:
+            raise SingularMatrix(
+                f"pivot below {pivot_floor:.3e} during elimination"
+                f" (max|A| = {np.abs(A).max():.3e})"
+            )
+        U[[k, p]] = U[[p, k]]
+        y[[k, p]] = y[[p, k]]
+        fac = U[k + 1 :, k] / U[k, k]
+        U[k + 1 :, k + 1 :] -= np.outer(fac, U[k, k + 1 :])
+        y[k + 1 :] -= fac * y[k]
+        U[k + 1 :, k] = 0.0
+    x = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - U[i, i + 1 :] @ x[i + 1 :]) / U[i, i]
+    return x
 
 
 def spectral_radius_bound(A):
@@ -98,5 +120,28 @@ def spectral_radius_bound(A):
     row_sum_max = float(absA.sum(axis=1).max())
     rng = np.random.default_rng(_POWER_SEED)
     x0 = rng.random(n) + 0.5
-    estimate = float(power_iter(absA, x0, POWER_MAX_ITER, POWER_TOL))
+    estimate = float(_power_iter(absA, x0, POWER_MAX_ITER, POWER_TOL))
     return row_sum_max, estimate
+
+
+def _power_iter(M, x0, max_iter, tol):
+    """Infinity-norm power iteration on a nonnegative matrix.
+
+    Returns the converged ratio ``max|M x| / max|x|``, which never
+    exceeds the maximum row sum of ``M``.
+    """
+    nx = np.abs(x0).max()
+    if nx == 0.0:
+        return 0.0
+    x = x0 / nx
+    est = 0.0
+    for _ in range(max_iter):
+        y = np.dot(M, x)
+        ny = np.abs(y).max()
+        if ny == 0.0:
+            return 0.0
+        if np.abs(ny - est) <= tol * (1.0 + ny):
+            return ny
+        est = ny
+        x = y / ny
+    return est

@@ -28,10 +28,6 @@ def run_experiment(net_kind, link_prob=0.2, exponent=2.1, seeds=range(20)):
     observed = []
     estimates = []
     late_failures = []
-    # warm the numeric kernels so one-time compilation stays out of the clock
-    warm_net = build_network(cfg, seed=0)
-    warm_ext = external_fractions(warm_net)
-    simulate(warm_net, warm_ext, initial_errors(cfg.x0, cfg.n), 2)
     t0 = time.perf_counter()
     for seed in seeds:
         net = build_network(cfg, seed)

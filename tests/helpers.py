@@ -1,7 +1,8 @@
 """Shared builders and oracles for the test suite.
 
 Everything here is deliberately independent of the library internals:
-the LP oracle enumerates polytope vertices by brute force, and the
+the LP oracle enumerates polytope vertices by brute force, the loop-form
+kernels spell out the solver arithmetic one scalar at a time, and the
 instance generators construct admissible networks from first principles
 so the checkers under test are not used to certify their own inputs.
 """
@@ -13,6 +14,12 @@ import numpy as np
 from fincascade import FinancialNetwork, external_fractions, threshold_income
 from fincascade.analysis import FailureBoundBox
 from fincascade.dynamics import orthant_system
+from fincascade.lp_solver import (
+    SIMPLEX_BREAKDOWN,
+    SIMPLEX_ITER_LIMIT,
+    SIMPLEX_OPTIMAL,
+    SIMPLEX_UNBOUNDED,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +74,110 @@ def random_small_lp(rng):
     b = np.append(b, rng.uniform(1.0, 10.0))
     c = rng.uniform(-1.0, 1.0, size=n)
     return c, A, b
+
+
+# ---------------------------------------------------------------------------
+# loop-form kernel oracles
+
+
+def gauss_solve_loops(A, b):
+    """Gaussian elimination with partial pivoting, every update a scalar
+    loop.  Reference for the vectorized solver; no singularity check."""
+    U = np.array(A, dtype=np.float64)
+    y = np.array(b, dtype=np.float64)
+    n = U.shape[0]
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(U[k:, k])))
+        U[[k, p]] = U[[p, k]]
+        y[[k, p]] = y[[p, k]]
+        for i in range(k + 1, n):
+            f = U[i, k] / U[k, k]
+            for j in range(k, n):
+                U[i, j] -= f * U[k, j]
+            y[i] -= f * y[k]
+    x = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        acc = y[i]
+        for j in range(i + 1, n):
+            acc -= U[i, j] * x[j]
+        x[i] = acc / U[i, i]
+    return x
+
+
+def simplex_iterate_loops(T, basis, n_allowed, tol_cost, tol_piv, max_iter, stall_limit):
+    """Simplex iterations on a dense tableau, loop form.
+
+    The readable specification of the pivot rule in
+    ``fincascade.lp_solver._simplex_iterate``: same arguments, same
+    status codes, same in-place updates of ``T`` and ``basis``, and the
+    same per-element arithmetic, so both walk the same vertex sequence.
+    """
+    m = T.shape[0] - 1
+    rhs = T.shape[1] - 1
+    it = 0
+    lowest_index = False
+    stalled = 0
+    last_obj = T[m, rhs]
+    while it < max_iter:
+        enter = -1
+        if lowest_index:
+            for j in range(n_allowed):
+                if T[m, j] < -tol_cost:
+                    enter = j
+                    break
+        else:
+            best_cost = -tol_cost
+            for j in range(n_allowed):
+                if T[m, j] < best_cost:
+                    best_cost = T[m, j]
+                    enter = j
+        if enter == -1:
+            return SIMPLEX_OPTIMAL, it
+        leave = -1
+        best = np.inf
+        best_var = rhs + 1
+        tiny = False
+        for i in range(m):
+            a = T[i, enter]
+            if a > tol_piv:
+                r = T[i, rhs] / a
+                if r < best:
+                    best = r
+                    leave = i
+                    best_var = basis[i]
+                elif r == best and basis[i] < best_var:
+                    leave = i
+                    best_var = basis[i]
+            elif a > 0.0:
+                tiny = True
+        if leave == -1:
+            if tiny:
+                return SIMPLEX_BREAKDOWN, it
+            return SIMPLEX_UNBOUNDED, it
+        piv = T[leave, enter]
+        for c in range(rhs + 1):
+            T[leave, c] /= piv
+        for i in range(m + 1):
+            if i == leave:
+                continue
+            f = T[i, enter]
+            if f != 0.0:
+                for c in range(rhs + 1):
+                    T[i, c] -= f * T[leave, c]
+        basis[leave] = enter
+        it += 1
+        # rhs of the cost row carries minus the objective, so improvement
+        # shows up as an increase
+        obj = T[m, rhs]
+        if obj > last_obj + 1e-12 * (1.0 + np.abs(last_obj)):
+            stalled = 0
+            lowest_index = False
+        else:
+            stalled += 1
+            if stalled >= stall_limit:
+                lowest_index = True
+        last_obj = obj
+    return SIMPLEX_ITER_LIMIT, it
 
 
 # ---------------------------------------------------------------------------

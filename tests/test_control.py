@@ -30,10 +30,16 @@ from fincascade.analysis import FailureBoundBox
 from fincascade.control import (
     MODE_U1,
     MODE_U1_U2,
+    ControlPlan,
     offset_with_income,
     write_control_log,
 )
-from fincascade.errors import InfeasibleEps, InvalidSlack, LpInfeasible
+from fincascade.errors import (
+    InfeasibleEps,
+    InvalidSlack,
+    LpInfeasible,
+    NumericalBreakdown,
+)
 from fincascade.lp_solver import INFEASIBLE
 
 from helpers import decoupled_stable_instance, loose_instance
@@ -194,6 +200,13 @@ def test_design_k_postconditions():
         assert (closed.sum(axis=1) < 1.0).all()
         row_max, _ = spectral_radius_bound(closed)
         assert row_max < 1.0
+
+
+def test_control_plan_rejects_gain_with_nonzero_diagonal():
+    # a postcondition, not an assert: it must fire under python -O too
+    K = np.array([[0.0, 0.1], [0.2, 1e-12]])
+    with pytest.raises(NumericalBreakdown, match="diagonal"):
+        ControlPlan(np.ones(2), K, np.ones(2), 1e-6, 0, np.ones(2))
 
 
 def test_design_k_restabilizes_near_unstable():

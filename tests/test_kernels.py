@@ -1,52 +1,68 @@
-"""Kernel twin agreement and backend selection.
+"""Hot numeric kernels against hand recurrences and loop-form oracles.
 
-Every hot kernel ships in two executable forms (compiled and plain
-numpy).  The active handle must agree with the plain twin, and the
-FINCASCADE_NUMBA flag must pick the expected backend in a fresh
-interpreter.
+Each kernel is a private helper next to its only caller: the linear
+solve and power iteration in ``numerics``, trajectory stepping in
+``dynamics``, simplex pivoting in ``lp_solver``.  The loop-form oracles
+live in ``helpers``.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from fincascade import _kernels as kern
+from fincascade import solve_linear
+from fincascade.dynamics import _simulate_steps
+from fincascade.errors import SingularMatrix
+from fincascade.lp_solver import (
+    SIMPLEX_BREAKDOWN,
+    SIMPLEX_ITER_LIMIT,
+    SIMPLEX_OPTIMAL,
+    SIMPLEX_UNBOUNDED,
+    LinearProgram,
+    _simplex_iterate,
+    solve_lp,
+)
+from fincascade.numerics import _gauss_solve, _power_iter
+
+from helpers import gauss_solve_loops, simplex_iterate_loops
+
+# Vectorized back-substitution sums each row in a different order than
+# the scalar loop; on these diagonally dominant systems the two agree to
+# a few ulps per unknown.
+_SOLVE_RTOL = 64 * np.finfo(np.float64).eps
 
 
 # -------------------------------------------------------------- gauss solve
 
 
-def test_gauss_solve_active_matches_python_twin():
+def test_gauss_solve_residual_matches_loop_oracle():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 9))
         A = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
         b = rng.uniform(-5.0, 5.0, n)
-        x, ok = kern.gauss_solve(A, b, 1e-12)
-        x_py, ok_py = kern.gauss_solve_py(A, b, 1e-12)
-        assert ok and ok_py
-        np.testing.assert_allclose(x, x_py, rtol=1e-12, atol=1e-13)
+        x = _gauss_solve(A, b, 1e-12)
         np.testing.assert_allclose(A @ x, b, atol=1e-9)
+        np.testing.assert_allclose(
+            x, gauss_solve_loops(A, b), rtol=_SOLVE_RTOL, atol=_SOLVE_RTOL
+        )
 
 
 def test_gauss_solve_singular_flag_on_both_paths():
+    # the kernel raises at its explicit floor, solve_linear at the
+    # relative floor PIVOT_FLOOR * max|A|
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     b = np.ones(2)
-    _, ok = kern.gauss_solve(A, b, 1e-10)
-    _, ok_py = kern.gauss_solve_py(A, b, 1e-10)
-    assert not ok
-    assert not ok_py
+    with pytest.raises(SingularMatrix, match=r"pivot below 1\.000e-10 .*max\|A\| = 4\.000e\+00"):
+        _gauss_solve(A, b, 1e-10)
+    with pytest.raises(SingularMatrix, match=r"pivot below 4\.000e-12 .*max\|A\| = 4\.000e\+00"):
+        solve_linear(A, b)
 
 
 def test_gauss_solve_leaves_inputs_untouched():
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
     b = np.array([3.0, 5.0])
     A0, b0 = A.copy(), b.copy()
-    kern.gauss_solve(A, b, 1e-12)
+    _gauss_solve(A, b, 1e-12)
     np.testing.assert_array_equal(A, A0)
     np.testing.assert_array_equal(b, b0)
 
@@ -54,39 +70,21 @@ def test_gauss_solve_leaves_inputs_untouched():
 # ------------------------------------------------------------- power method
 
 
-def test_power_iter_active_matches_python_twin():
+def test_power_iter_within_row_sum_bound():
     rng = np.random.default_rng(23)
     for _ in range(20):
         n = int(rng.integers(2, 12))
         M = rng.uniform(0.0, 1.0, (n, n))
-        x0 = np.ones(n)
-        r = kern.power_iter(M, x0, 500, 1e-13)
-        r_py = kern.power_iter_py(M, x0, 500, 1e-13)
-        assert r == pytest.approx(r_py, rel=1e-10)
-        assert r <= M.sum(axis=1).max() + 1e-9
+        r = _power_iter(M, np.ones(n), 500, 1e-13)
+        assert M.sum(axis=1).min() - 1e-9 <= r <= M.sum(axis=1).max() + 1e-9
 
 
 def test_power_iter_zero_start_returns_zero():
     M = np.ones((3, 3))
-    assert kern.power_iter(M, np.zeros(3), 100, 1e-12) == 0.0
-    assert kern.power_iter_py(M, np.zeros(3), 100, 1e-12) == 0.0
+    assert _power_iter(M, np.zeros(3), 100, 1e-12) == 0.0
 
 
 # ---------------------------------------------------------------- simulator
-
-
-def test_simulate_steps_active_matches_python_twin():
-    rng = np.random.default_rng(37)
-    n = 7
-    W = rng.uniform(0.0, 0.1, (n, n))
-    np.fill_diagonal(W, 0.0)
-    drive = rng.uniform(-1.0, 1.0, n)
-    pen = rng.uniform(0.0, 2.0, n)
-    x0 = rng.uniform(-2.0, 2.0, n)
-    hist = kern.simulate_steps(W, drive, pen, x0, 60)
-    hist_py = kern.simulate_steps_py(W, drive, pen, x0, 60)
-    assert hist.shape == (61, n)
-    np.testing.assert_allclose(hist, hist_py, rtol=1e-12, atol=1e-13)
 
 
 def test_simulate_steps_matches_hand_recurrence():
@@ -94,14 +92,31 @@ def test_simulate_steps_matches_hand_recurrence():
     drive = np.array([0.5, -0.3])
     pen = np.array([1.0, 2.0])
     x = np.array([1.0, -1.0])
-    hist = kern.simulate_steps_py(W, drive, pen, x, 25)
+    hist = _simulate_steps(W, drive, pen, x, 25)
     for t in range(25):
         hit = np.where(x < 0.0, pen, 0.0)
         x = W @ x + drive - hit
         np.testing.assert_allclose(hist[t + 1], x, atol=0.0)
 
 
-# ------------------------------------------------------------ simplex twins
+def test_simulate_steps_random_network_history_shape_and_recurrence():
+    rng = np.random.default_rng(37)
+    n = 7
+    W = rng.uniform(0.0, 0.1, (n, n))
+    np.fill_diagonal(W, 0.0)
+    drive = rng.uniform(-1.0, 1.0, n)
+    pen = rng.uniform(0.0, 2.0, n)
+    x0 = rng.uniform(-2.0, 2.0, n)
+    hist = _simulate_steps(W, drive, pen, x0, 60)
+    assert hist.shape == (61, n)
+    np.testing.assert_array_equal(hist[0], x0)
+    x = x0
+    for t in range(60):
+        x = W @ x + drive - np.where(x < 0.0, pen, 0.0)
+        np.testing.assert_allclose(hist[t + 1], x, rtol=1e-12, atol=1e-13)
+
+
+# ------------------------------------------------------------- simplex pivots
 
 
 def _two_constraint_tableau():
@@ -117,12 +132,15 @@ def _two_constraint_tableau():
     return T, basis
 
 
+_SIMPLEX_KERNELS = (simplex_iterate_loops, _simplex_iterate)
+
+
 def test_simplex_twins_walk_identical_pivots():
     T_a, basis_a = _two_constraint_tableau()
     T_b, basis_b = _two_constraint_tableau()
-    s_a, it_a = kern.simplex_iterate_loops_py(T_a, basis_a, 4, 1e-9, 1e-11, 100, 25)
-    s_b, it_b = kern.simplex_iterate_numpy(T_b, basis_b, 4, 1e-9, 1e-11, 100, 25)
-    assert s_a == s_b == kern.SIMPLEX_OPTIMAL
+    s_a, it_a = simplex_iterate_loops(T_a, basis_a, 4, 1e-9, 1e-11, 100, 25)
+    s_b, it_b = _simplex_iterate(T_b, basis_b, 4, 1e-9, 1e-11, 100, 25)
+    assert s_a == s_b == SIMPLEX_OPTIMAL
     assert it_a == it_b == 2
     np.testing.assert_array_equal(basis_a, basis_b)
     np.testing.assert_array_equal(T_a, T_b)
@@ -135,14 +153,21 @@ def test_simplex_twins_walk_identical_pivots():
 
 
 def test_simplex_active_kernel_agrees_with_twins():
+    # solve_lp drives the kernel on the same program; it must land on the
+    # loop oracle's vertex after the same number of pivots
     T, basis = _two_constraint_tableau()
-    status, it = kern.simplex_iterate(T, basis, 4, 1e-9, 1e-11, 100, 25)
-    assert status == kern.SIMPLEX_OPTIMAL
-    assert it == 2
-    T_py, basis_py = _two_constraint_tableau()
-    kern.simplex_iterate_loops_py(T_py, basis_py, 4, 1e-9, 1e-11, 100, 25)
-    np.testing.assert_array_equal(basis, basis_py)
-    np.testing.assert_allclose(T, T_py, rtol=1e-12, atol=1e-13)
+    _, it = simplex_iterate_loops(T, basis, 4, 1e-9, 1e-11, 100, 25)
+    lp = LinearProgram(
+        objective=np.array([-1.0, -1.0]),
+        ineq_lhs=np.array([[1.0, 2.0], [3.0, 1.0]]),
+        ineq_rhs=np.array([4.0, 6.0]),
+    )
+    sol = solve_lp(lp)
+    assert sol.iterations == it == 2
+    z = np.zeros(4)
+    z[basis] = T[:2, -1]
+    np.testing.assert_array_equal(sol.z, z[:2])
+    assert sol.objective_value == pytest.approx(-T[-1, -1])
 
 
 def test_simplex_unbounded_status_on_both_twins():
@@ -151,10 +176,10 @@ def test_simplex_unbounded_status_on_both_twins():
         T = np.array([[-1.0, 1.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0]])
         return T, np.array([2], dtype=np.int64)
 
-    for fn in (kern.simplex_iterate_loops_py, kern.simplex_iterate_numpy):
+    for fn in _SIMPLEX_KERNELS:
         T, basis = tableau()
         status, _ = fn(T, basis, 3, 1e-9, 1e-11, 100, 25)
-        assert status == kern.SIMPLEX_UNBOUNDED
+        assert status == SIMPLEX_UNBOUNDED
 
 
 def test_simplex_breakdown_on_tiny_pivot_column():
@@ -163,17 +188,17 @@ def test_simplex_breakdown_on_tiny_pivot_column():
         T = np.array([[1e-13, 1.0, 5.0], [-1.0, 0.0, 0.0]])
         return T, np.array([1], dtype=np.int64)
 
-    for fn in (kern.simplex_iterate_loops_py, kern.simplex_iterate_numpy):
+    for fn in _SIMPLEX_KERNELS:
         T, basis = tableau()
         status, _ = fn(T, basis, 2, 1e-9, 1e-11, 100, 25)
-        assert status == kern.SIMPLEX_BREAKDOWN
+        assert status == SIMPLEX_BREAKDOWN
 
 
 def test_simplex_iteration_cap_status():
-    for fn in (kern.simplex_iterate_loops_py, kern.simplex_iterate_numpy):
+    for fn in _SIMPLEX_KERNELS:
         T, basis = _two_constraint_tableau()
         status, it = fn(T, basis, 4, 1e-9, 1e-11, 1, 25)
-        assert status == kern.SIMPLEX_ITER_LIMIT
+        assert status == SIMPLEX_ITER_LIMIT
         assert it == 1
 
 
@@ -194,8 +219,8 @@ def test_simplex_twins_lockstep_on_random_tableaus():
         T_b = T.copy()
         basis_b = basis.copy()
         # tight stall limit forces the lowest-index fallback to engage
-        s_a, it_a = kern.simplex_iterate_loops_py(T, basis, k + m, 1e-9, 1e-11, 400, 2)
-        s_b, it_b = kern.simplex_iterate_numpy(T_b, basis_b, k + m, 1e-9, 1e-11, 400, 2)
+        s_a, it_a = simplex_iterate_loops(T, basis, k + m, 1e-9, 1e-11, 400, 2)
+        s_b, it_b = _simplex_iterate(T_b, basis_b, k + m, 1e-9, 1e-11, 400, 2)
         assert s_a == s_b
         assert it_a == it_b
         np.testing.assert_array_equal(basis, basis_b)
@@ -216,65 +241,12 @@ def test_simplex_degenerate_pivots_trigger_lowest_index_fallback():
         return T, np.array([2, 3], dtype=np.int64)
 
     results = []
-    for fn in (kern.simplex_iterate_loops_py, kern.simplex_iterate_numpy):
+    for fn in _SIMPLEX_KERNELS:
         T, basis = tableau()
         status, it = fn(T, basis, 4, 1e-9, 1e-11, 100, 1)
         results.append((status, it, T.copy(), basis.copy()))
     (s_a, it_a, T_a, basis_a), (s_b, it_b, T_b, basis_b) = results
-    assert s_a == s_b == kern.SIMPLEX_OPTIMAL
+    assert s_a == s_b == SIMPLEX_OPTIMAL
     assert it_a == it_b
     np.testing.assert_array_equal(T_a, T_b)
     np.testing.assert_array_equal(basis_a, basis_b)
-
-
-# --------------------------------------------------------- backend selection
-
-
-def _run_probe(env_value):
-    code = (
-        "import json, numpy as np\n"
-        "from fincascade import _kernels as K\n"
-        "from fincascade.lp_solver import LinearProgram, solve_lp\n"
-        "rng = np.random.default_rng(5)\n"
-        "A = rng.uniform(-1, 1, (6, 6)) + 6 * np.eye(6)\n"
-        "b = rng.uniform(-3, 3, 6)\n"
-        "x, ok = K.gauss_solve(A, b, 1e-12)\n"
-        "W = rng.uniform(0, 0.1, (5, 5))\n"
-        "np.fill_diagonal(W, 0.0)\n"
-        "hist = K.simulate_steps(W, rng.uniform(-1, 1, 5), rng.uniform(0, 2, 5),"
-        " rng.uniform(-2, 2, 5), 40)\n"
-        "r = K.power_iter(np.abs(W), np.ones(5), 200, 1e-12)\n"
-        "lp = LinearProgram(objective=np.array([-1.0, -1.0]),"
-        " ineq_lhs=np.array([[1.0, 2.0], [3.0, 1.0]]),"
-        " ineq_rhs=np.array([4.0, 6.0]))\n"
-        "sol = solve_lp(lp)\n"
-        "print(json.dumps({'numba': K.NUMBA_ENABLED, 'ok': bool(ok),"
-        " 'x': x.tolist(), 'h': hist[-1].tolist(), 'r': float(r),"
-        " 'z': sol.z.tolist(), 'v': sol.objective_value}))\n"
-    )
-    env = dict(os.environ)
-    env["FINCASCADE_NUMBA"] = env_value
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_backend_flag_zero_forces_plain_numpy():
-    out = _run_probe("0")
-    assert out["numba"] is False
-
-
-def test_backend_paths_compute_identical_results():
-    plain = _run_probe("0")
-    auto = _run_probe("auto")
-    for key in ("x", "h", "z"):
-        np.testing.assert_allclose(plain[key], auto[key], rtol=1e-9, atol=1e-12)
-    assert plain["r"] == pytest.approx(auto["r"], rel=1e-9)
-    assert plain["v"] == pytest.approx(auto["v"], rel=1e-9)
-    assert plain["ok"] and auto["ok"]
