@@ -1,10 +1,12 @@
-"""Stabilizing investment control: constant feedforward, LP-designed
+"""Stabilizing investment control: constant feedforward, closed-form
 feedback gain, and investment-matrix recovery.
 
 The feedforward part u1 buys each company enough external income to hold
 its orthant; the feedback part u2 = J K X reshapes the coupling so every
-closed-loop row sum contracts.  A second LP turns the combined demand
-into an admissible asset allocation, and the closed-loop simulator
+closed-loop row sum contracts, with K written down directly from the
+row-separable gain program.  The largest admissible share of the
+combined demand follows from a majorization test, one allocation LP
+turns that share into asset holdings, and the closed-loop simulator
 replays the cascade dynamics with the allocation's realized income.
 """
 
@@ -21,14 +23,8 @@ from .dynamics import (
     orthant_system,
     signature_of,
 )
-from .errors import (
-    InfeasibleEps,
-    InvalidSlack,
-    LpInfeasible,
-    LpUnbounded,
-    NumericalBreakdown,
-)
-from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from .errors import InfeasibleEps, InvalidSlack, LpInfeasible, NumericalBreakdown
+from .lp_solver import OPTIMAL, LinearProgram, solve_lp
 
 EPSILON_DEFAULT = 1e-6
 GAIN_TOL = 1e-10
@@ -104,69 +100,51 @@ def design_u1_bounded(net, ext_frac, signs, box, xi):
     return u1
 
 
-def build_lp1(net, ext_frac, epsilon, signs=None):
-    """Gain-synthesis linear program over the flattened gain matrix.
+def design_K(net, ext_frac, signs, epsilon):
+    """Gain matrix contracting every closed-loop row sum to
+    ``1 - ext_i * epsilon``, built in closed form.
 
-    Variables k[i*n+l] = gain from company l's state into company i's
-    investment.  Element lower bounds keep every closed-loop coupling
-    entry nonnegative; per-row sum windows keep row sums in
-    [0, 1 - epsilon * ext_i]; diagonal entries are fixed at zero.  The
-    objective maximizes the total gain.
+    The gain program maximizes the total gain subject to, per row i:
+    entries ``K[i, j] >= -A[i, j] / ext_i`` so the closed-loop coupling
+    ``A + ext K`` stays nonnegative, ``K[i, i] = 0``, and a row sum in
+    ``[-rowsum(A)_i / ext_i, gamma_i]`` with
+    ``gamma_i = (1 - rowsum(A)_i) / ext_i - epsilon``.  Rows share
+    no variable and the objective is a plain sum, so each row is
+    maximized on its own and every optimum puts row i's sum at
+    ``gamma_i``.  That face is nonempty exactly when the lower bounds
+    fit under it, i.e. ``gamma_i >= -rowsum(A)_i / ext_i``, which is
+    ``epsilon <= 1 / ext_i``.
+
+    Start every off-diagonal entry at its lower bound and lift one
+    entry ``j0`` by the remaining room ``gamma_i + rowsum(A)_i / ext_i
+    = 1 / ext_i - epsilon``.  Column ``j0`` is 0, or 1 in row 0: this is
+    the vertex a lowest-index simplex returns, and the choice is only a
+    tie-break.  Every point of the optimal face gives the same closed-loop
+    row sums, so each carries the same linear copositive certificate
+    ``v = 1`` for the positive closed loop (Rantzer 2015, "Scalable
+    control of positive systems").
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    n = net.n_companies
-    if signs is None:
-        signs = np.ones(n)
-    signs = np.asarray(signs, dtype=np.float64)
-    system = orthant_system(net, ext_frac, signs)
-    A = system.coupling
-    row_sums = A.sum(axis=1)
-    gamma = (1.0 - row_sums) / ext_frac - epsilon
-    mu = row_sums / ext_frac
-    bad = np.flatnonzero(gamma < -mu)
+    A = orthant_system(net, ext_frac, signs).coupling
+    lift = 1.0 / ext_frac - epsilon
+    bad = np.flatnonzero(lift < 0.0)
     if bad.size:
         raise InfeasibleEps(
             f"epsilon={epsilon} exceeds 1/ext for rows {bad.tolist()[:10]}"
         )
-
-    lower = (-A / ext_frac[:, None]).reshape(-1)
-    ineq = np.zeros((2 * n, n * n))
-    rhs = np.empty(2 * n)
-    for i in range(n):
-        ineq[i, i * n : (i + 1) * n] = 1.0
-        ineq[n + i, i * n : (i + 1) * n] = -1.0
-        rhs[i] = gamma[i]
-        rhs[n + i] = mu[i]
-    fixed = [(i * n + i, 0.0) for i in range(n)]
-    return LinearProgram(
-        objective=-np.ones(n * n),
-        ineq_lhs=ineq,
-        ineq_rhs=rhs,
-        fixed=fixed,
-        lower_bounds=lower,
-    )
-
-
-def design_K(net, ext_frac, signs, epsilon):
-    """Solve the gain LP and return the gain matrix, checking the
-    stability conclusions on the closed-loop coupling."""
-    n = net.n_companies
-    program = build_lp1(net, ext_frac, epsilon, signs=signs)
-    sol = solve_lp(program)
-    if sol.status == INFEASIBLE:
-        raise LpInfeasible("gain synthesis infeasible at this epsilon")
-    if sol.status == UNBOUNDED:
-        raise LpUnbounded("gain synthesis unbounded; constraints are inconsistent")
-    K = sol.z.reshape(n, n)
-    A = orthant_system(net, ext_frac, np.asarray(signs, dtype=np.float64)).coupling
+    K = -A / ext_frac[:, None]
+    np.fill_diagonal(K, 0.0)
+    if net.n_companies > 1:
+        K[1:, 0] += lift[1:]
+        K[0, 1] += lift[0]
     closed = A + ext_frac[:, None] * K
     if closed.min() < -GAIN_TOL:
         raise NumericalBreakdown("closed-loop coupling has a negative entry")
     if np.abs(np.diag(closed)).max() > 0.0:
         raise NumericalBreakdown("closed-loop diagonal is not exactly zero")
     sums = closed.sum(axis=1)
-    # at the optimum each row sum reaches 1 - ext_i * epsilon exactly
+    # each row sum reaches 1 - ext_i * epsilon up to rounding
     if sums.min() < -GAIN_TOL or (sums > 1.0 - ext_frac * epsilon + GAIN_TOL).any():
         raise NumericalBreakdown("closed-loop row sums escaped their window")
     return K
@@ -230,34 +208,42 @@ class InvestmentSolution:
 
 
 def solve_investments(w, p, clamped=(), allow_scaling=True):
-    """Allocate assets to meet demands, shrinking them proportionally
-    when capacity cannot cover the total."""
+    """Allocate assets to meet demands, shrinking them by the largest
+    feasible common scale when capacity cannot cover them.
+
+    An allocation buying ``s w`` is a D >= 0 with row and column sums at
+    most one and ``D p = s w``.  Pad the shorter of w and p with zeros
+    to a common length; D is then doubly substochastic, and one exists
+    exactly when ``s w`` is weakly submajorized by p (Marshall, Olkin &
+    Arnold, *Inequalities*, ch. 2): for every k, the k largest demands
+    sum to at most the k largest prices.  Necessity is direct, since any
+    k companies hold at most one share of each asset and k shares in
+    all.  With ``W_k`` and ``P_k`` those partial sums, the largest
+    feasible scale is ``s* = min(1, min_k P_k / W_k)``, and one LP solve
+    at ``s*`` recovers the allocation.
+    """
     w = np.ascontiguousarray(w, dtype=np.float64)
     p = np.ascontiguousarray(p, dtype=np.float64)
     n = w.shape[0]
     m = p.shape[0]
-    scale = 1.0
-    total = w.sum()
-    cap = p.sum()
-    if allow_scaling and total > cap:
-        scale = cap / total
-    for _ in range(60):
-        sol = solve_lp(build_lp2(scale * w, p))
-        if sol.status == OPTIMAL:
-            D = sol.z.reshape(n, m)
-            return InvestmentSolution(
-                D_new=D,
-                demands_met=np.abs(D @ p - scale * w),
-                clamped=list(clamped),
-                scaled=scale < 1.0,
-                scale=scale,
-            )
-        if sol.status == UNBOUNDED or not allow_scaling:
-            break
-        scale *= 0.5
-        if scale * total < 1e-300:
-            scale = 0.0
-    raise LpInfeasible("investment allocation failed even after scaling demands")
+    size = max(n, m)
+    W = np.cumsum(np.sort(np.pad(w, (0, size - n)))[::-1])
+    P = np.cumsum(np.sort(np.pad(p, (0, size - m)))[::-1])
+    pos = W > 0.0
+    scale = min(1.0, float((P[pos] / W[pos]).min())) if pos.any() else 1.0
+    if scale < 1.0 and not allow_scaling:
+        raise LpInfeasible("demands exceed what the assets can cover")
+    sol = solve_lp(build_lp2(scale * w, p))
+    if sol.status != OPTIMAL:
+        raise NumericalBreakdown(f"allocation LP is {sol.status} at its feasible scale")
+    D = sol.z.reshape(n, m)
+    return InvestmentSolution(
+        D_new=D,
+        demands_met=np.abs(D @ p - scale * w),
+        clamped=list(clamped),
+        scaled=scale < 1.0,
+        scale=scale,
+    )
 
 
 @dataclass
@@ -279,22 +265,6 @@ class ControlPlan:
         if self.K_tilde is None:
             return np.zeros(self.signs.shape[0])
         return self.signs * (self.K_tilde @ np.asarray(X, dtype=np.float64))
-
-
-@dataclass
-class ClosedLoop:
-    A_tilde: np.ndarray
-    b_tilde: np.ndarray
-
-
-def assemble_closed_loop(net, ext_frac, signs, plan):
-    signs = np.asarray(signs, dtype=np.float64)
-    A = orthant_system(net, ext_frac, signs).coupling
-    K = plan.K_tilde if plan.K_tilde is not None else np.zeros_like(A)
-    return ClosedLoop(
-        A_tilde=A + ext_frac[:, None] * K,
-        b_tilde=offset_with_income(net, ext_frac, signs, plan.u1),
-    )
 
 
 @dataclass
@@ -327,16 +297,14 @@ def simulate_closed_loop(
     epsilon=EPSILON_DEFAULT,
     xi=None,
     mode=MODE_U1,
-    freeze_gain=False,
 ):
     """Run the cascade dynamics with control switching on at
     ``activation_t``.
 
     Each controlled step rebuilds the feedforward from the current
-    signature (tolerating the currently failed magnitudes), optionally
-    redesigns the gain, allocates investments, and steps the dynamics on
-    the allocation's realized income.  ``freeze_gain`` reuses the first
-    designed gain instead of re-solving every step.
+    signature (tolerating the currently failed magnitudes), in
+    ``MODE_U1_U2`` redesigns the gain, allocates investments, and steps
+    the dynamics on the allocation's realized income.
     """
     if mode not in (MODE_U1, MODE_U1_U2):
         raise ValueError(f"unknown mode {mode!r}")
@@ -353,7 +321,6 @@ def simulate_closed_loop(
     errors[0] = x0
     x = x0.copy()
     steps = []
-    gain = None
     lp2_cache = {}
     for t in range(horizon):
         if t < activation_t:
@@ -367,10 +334,10 @@ def simulate_closed_loop(
             else:
                 u1 = design_u1(net, ext_frac, signs, xi)
             if mode == MODE_U1_U2:
-                if gain is None or not freeze_gain:
-                    gain = design_K(net, ext_frac, signs, epsilon)
+                gain = design_K(net, ext_frac, signs, epsilon)
                 u2 = signs * (gain @ (signs * x))
             else:
+                gain = None
                 u2 = np.zeros(n)
             w = clamp_demands(u1, u2, signs)
             key = w.tobytes()
@@ -382,7 +349,7 @@ def simulate_closed_loop(
             income = invest.D_new @ net.prices
             plan = ControlPlan(
                 u1=u1,
-                K_tilde=gain if mode == MODE_U1_U2 else None,
+                K_tilde=gain,
                 xi=xi,
                 epsilon=epsilon,
                 activation_t=activation_t,

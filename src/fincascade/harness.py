@@ -11,7 +11,7 @@ config and seed; wall times stay in memory only.
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -104,26 +104,18 @@ class ControlSpec:
     activation_t: int = 60
     epsilon: float = 1e-6
     xi_scale: float | None = None
-    freeze_gain: bool = False
 
     def to_dict(self):
-        return {
-            "mode": self.mode,
-            "activation_t": self.activation_t,
-            "epsilon": self.epsilon,
-            "xi_scale": self.xi_scale,
-            "freeze_gain": self.freeze_gain,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(
-            mode=doc.get("mode", "open"),
-            activation_t=doc.get("activation_t", 60),
-            epsilon=doc.get("epsilon", 1e-6),
-            xi_scale=doc.get("xi_scale"),
-            freeze_gain=doc.get("freeze_gain", False),
-        )
+        # an unknown key fails loudly rather than being ignored, so a
+        # field that once existed cannot silently change meaning
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown control settings {unknown}")
+        return cls(**doc)
 
 
 @dataclass
@@ -365,7 +357,6 @@ def _run_seed(cfg, seed):
             epsilon=cfg.control.epsilon,
             xi=xi,
             mode=_MODE_MAP[cfg.control.mode],
-            freeze_gain=cfg.control.freeze_gain,
         )
         traj = run_cl.trajectory
         scaled_steps = run_cl.scaled_steps()

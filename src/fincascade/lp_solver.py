@@ -11,10 +11,10 @@ rows use the minimum ratio with ties broken by lowest basis variable.
 The whole policy is deterministic, so identical inputs walk identical
 vertex sequences.
 
-The problems built elsewhere in the package stay dense and moderate:
-gain synthesis has one variable per holdings entry and two constraint
-rows per company, investment allocation has one variable per
-company/asset pair.  A dense tableau is the right tool at that size.
+The one program built elsewhere in the package stays dense and
+moderate: investment allocation has one variable per company/asset
+pair.  A dense tableau is the right tool at that size.  Gain synthesis
+needs no solver; ``control.design_K`` writes its optimum down directly.
 """
 
 from dataclasses import dataclass, field

@@ -1,10 +1,12 @@
 """Shared builders and oracles for the test suite.
 
 Everything here is deliberately independent of the library internals:
-the LP oracle enumerates polytope vertices by brute force, the loop-form
-kernels spell out the solver arithmetic one scalar at a time, and the
-instance generators construct admissible networks from first principles
-so the checkers under test are not used to certify their own inputs.
+the LP oracle enumerates polytope vertices by brute force, the gain
+program states as a linear program what ``design_K`` writes down in
+closed form, the loop-form kernels spell out the solver arithmetic one
+scalar at a time, and the instance generators construct admissible
+networks from first principles so the checkers under test are not used
+to certify their own inputs.
 """
 
 import itertools
@@ -14,11 +16,13 @@ import numpy as np
 from fincascade import FinancialNetwork, external_fractions, threshold_income
 from fincascade.analysis import FailureBoundBox
 from fincascade.dynamics import orthant_system
+from fincascade.errors import InfeasibleEps
 from fincascade.lp_solver import (
     SIMPLEX_BREAKDOWN,
     SIMPLEX_ITER_LIMIT,
     SIMPLEX_OPTIMAL,
     SIMPLEX_UNBOUNDED,
+    LinearProgram,
 )
 
 
@@ -178,6 +182,51 @@ def simplex_iterate_loops(T, basis, n_allowed, tol_cost, tol_piv, max_iter, stal
                 lowest_index = True
         last_obj = obj
     return SIMPLEX_ITER_LIMIT, it
+
+
+def build_lp1(net, ext_frac, epsilon, signs=None):
+    """Gain-synthesis linear program over the flattened gain matrix.
+
+    Variables k[i*n+l] = gain from company l's state into company i's
+    investment.  Element lower bounds keep every closed-loop coupling
+    entry nonnegative; per-row sum windows keep row sums in
+    [0, 1 - epsilon * ext_i]; diagonal entries are fixed at zero.  The
+    objective maximizes the total gain.  ``design_K`` returns the
+    optimum this program's simplex solve reaches.
+    """
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    n = net.n_companies
+    if signs is None:
+        signs = np.ones(n)
+    signs = np.asarray(signs, dtype=np.float64)
+    system = orthant_system(net, ext_frac, signs)
+    A = system.coupling
+    row_sums = A.sum(axis=1)
+    gamma = (1.0 - row_sums) / ext_frac - epsilon
+    mu = row_sums / ext_frac
+    bad = np.flatnonzero(gamma < -mu)
+    if bad.size:
+        raise InfeasibleEps(
+            f"epsilon={epsilon} exceeds 1/ext for rows {bad.tolist()[:10]}"
+        )
+
+    lower = (-A / ext_frac[:, None]).reshape(-1)
+    ineq = np.zeros((2 * n, n * n))
+    rhs = np.empty(2 * n)
+    for i in range(n):
+        ineq[i, i * n : (i + 1) * n] = 1.0
+        ineq[n + i, i * n : (i + 1) * n] = -1.0
+        rhs[i] = gamma[i]
+        rhs[n + i] = mu[i]
+    fixed = [(i * n + i, 0.0) for i in range(n)]
+    return LinearProgram(
+        objective=-np.ones(n * n),
+        ineq_lhs=ineq,
+        ineq_rhs=rhs,
+        fixed=fixed,
+        lower_bounds=lower,
+    )
 
 
 # ---------------------------------------------------------------------------

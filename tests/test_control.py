@@ -9,7 +9,6 @@ import pytest
 from fincascade import (
     FinancialNetwork,
     LinearProgram,
-    build_lp1,
     build_lp2,
     check_row_sum_stability,
     clamp_demands,
@@ -26,6 +25,7 @@ from fincascade import (
     spectral_radius_bound,
     threshold_income,
 )
+from fincascade import control
 from fincascade.analysis import FailureBoundBox
 from fincascade.control import (
     MODE_U1,
@@ -40,9 +40,10 @@ from fincascade.errors import (
     LpInfeasible,
     NumericalBreakdown,
 )
-from fincascade.lp_solver import INFEASIBLE
+from fincascade.harness import ScenarioConfig, build_network
+from fincascade.lp_solver import INFEASIBLE, OPTIMAL
 
-from helpers import decoupled_stable_instance, loose_instance
+from helpers import build_lp1, decoupled_stable_instance, loose_instance
 
 
 def flat_net(n, prices, thresholds, beta=1.0):
@@ -166,8 +167,29 @@ def test_lp1_infeasible_epsilon():
     n = 2
     net = flat_net(n, np.ones(n), np.ones(n))
     ext = external_fractions(net)
-    with pytest.raises(InfeasibleEps):
-        build_lp1(net, ext, epsilon=1.5)
+    with pytest.raises(InfeasibleEps, match="exceeds 1/ext for rows"):
+        design_K(net, ext, np.ones(n), epsilon=1.5)
+    for epsilon in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            design_K(net, ext, np.ones(n), epsilon)
+
+
+def test_design_k_matches_lp1_oracle():
+    # the closed form is the vertex the simplex reaches on the gain LP
+    rng = np.random.default_rng(44)
+    nets = [loose_instance(rng)[0] for _ in range(12)]
+    dense = ScenarioConfig(n=30, link_prob=0.8)
+    nets += [build_network(dense, seed) for seed in range(3)]
+    for net in nets:
+        ext = external_fractions(net)
+        n = net.n_companies
+        for _ in range(2):
+            signs = np.where(rng.uniform(size=n) < 0.4, -1.0, 1.0)
+            epsilon = float(rng.uniform(0.0, 1.0 / ext.max()))
+            sol = solve_lp(build_lp1(net, ext, epsilon, signs=signs))
+            assert sol.status == OPTIMAL
+            K = design_K(net, ext, signs, epsilon)
+            np.testing.assert_allclose(K, sol.z.reshape(n, n), rtol=1e-12)
 
 
 def test_lp1_zero_gain_feasible():
@@ -268,10 +290,45 @@ def test_lp2_infeasible_demand_reported():
 def test_lp2_scaling_fallback_flagged():
     sol = solve_investments(np.array([7.0]), np.array([2.0, 4.0]))
     assert sol.scaled
-    # proportional cut to capacity (6/7) still breaks the unit budget row,
-    # so halving kicks in once more and the demand lands at 3
-    assert sol.scale == pytest.approx(3.0 / 7.0)
-    np.testing.assert_allclose(sol.D_new @ np.array([2.0, 4.0]), [3.0], atol=1e-6)
+    # a single company holds at most one share of each asset and one
+    # share in all, so the most it can buy is the dearest asset, 4 of 7
+    assert sol.scale == pytest.approx(4.0 / 7.0)
+    np.testing.assert_allclose(sol.D_new @ np.array([2.0, 4.0]), [4.0], atol=1e-6)
+
+
+def test_lp2_scale_is_largest_feasible():
+    rng = np.random.default_rng(48)
+    scaled = unscaled = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        if n == m:
+            m += 1
+        p = rng.uniform(1.0, 20.0, size=m)
+        # up to three times the capacity, so some draws must be shrunk
+        w = rng.uniform(0.0, 3.0 * float(p.sum()) / n, size=n)
+        w[rng.uniform(size=n) < 0.25] = 0.0
+        s = solve_investments(w, p).scale
+        assert solve_lp(build_lp2(s * w, p)).status == OPTIMAL
+        if s < 1.0:
+            scaled += 1
+            assert solve_lp(build_lp2(s * (1.0 + 1e-6) * w, p)).status == INFEASIBLE
+        else:
+            unscaled += 1
+    assert scaled and unscaled
+
+
+def test_lp2_over_capacity_solves_once(monkeypatch):
+    calls = []
+
+    def counting_solve_lp(lp):
+        calls.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(control, "solve_lp", counting_solve_lp)
+    sol = solve_investments(np.array([7.0]), np.array([2.0, 4.0]))
+    assert sol.scaled
+    assert len(calls) == 1
 
 
 def test_lp2_solution_invariants():
@@ -377,21 +434,6 @@ def test_closed_loop_with_gain_stays_row_sum_stable():
         )
         row_max, _ = spectral_radius_bound(closed)
         assert row_max < 1.0
-
-
-def test_closed_loop_freeze_gain_reuses_first_design():
-    n = 4
-    C = np.full((n, n), 0.4 / (n - 1))
-    np.fill_diagonal(C, 0.0)
-    net = FinancialNetwork(C, np.eye(n), np.full(n, 25.0), np.full(n, 2.0), 5.0)
-    ext = external_fractions(net)
-    frozen = simulate_closed_loop(
-        net, ext, np.full(n, 1.0), 8, activation_t=0,
-        epsilon=0.05, xi=np.full(n, 0.5), mode=MODE_U1_U2, freeze_gain=True,
-    )
-    gains = [rec.plan.K_tilde for rec in frozen.steps]
-    for K in gains[1:]:
-        assert K is gains[0]
 
 
 def test_control_log_structure(tmp_path):

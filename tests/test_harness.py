@@ -118,6 +118,18 @@ def test_validate_config_errors(tmp_path):
     validate_config(base)  # the template itself is clean
 
 
+def test_config_rejects_removed_freeze_gain(tmp_path):
+    doc = tiny_config(tmp_path / "runs", mode="u1u2").to_dict()
+    doc["control"]["freeze_gain"] = True
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="freeze_gain"):
+        load_config(path)
+    assert main(["run-preset", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 # -------------------------------------------------------------------- runner
 
 
