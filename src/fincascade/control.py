@@ -4,12 +4,13 @@ feedback gain, and investment-matrix recovery.
 The feedforward part u1 buys each company enough external income to hold
 its orthant; the feedback part u2 = J K X reshapes the coupling so every
 closed-loop row sum contracts, with K written down directly from the
-row-separable gain program.  The largest admissible share of the
-combined demand follows from a majorization test, one allocation LP
-turns that share into asset holdings, and the closed-loop simulator
-replays the cascade dynamics with the allocation's realized income.
+row-separable gain program.  The closed-loop simulator steps the open
+loop's kernel on income ``s* w``, the largest share of the combined
+demand that a majorization test admits; one allocation LP per distinct
+demand turns that income into asset holdings when a log reads them.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -18,13 +19,16 @@ import numpy as np
 from .analysis import FailureBoundBox, threshold_income
 from .dynamics import (
     Trajectory,
-    _events_from_signs,
+    _drive,
+    _simulate_steps,
+    coupling_matrix,
     failure_penalty,
     orthant_system,
     signature_of,
+    simulate,
 )
 from .errors import InfeasibleEps, InvalidSlack, LpInfeasible, NumericalBreakdown
-from .lp_solver import OPTIMAL, LinearProgram, solve_lp
+from .lp_solver import FEAS_TOL, OPTIMAL, LinearProgram, solve_lp
 
 EPSILON_DEFAULT = 1e-6
 GAIN_TOL = 1e-10
@@ -47,17 +51,13 @@ def default_slack(net):
     return np.full(net.n_companies, level)
 
 
-def signature_penalty(net, signs):
-    return np.where(np.asarray(signs) < 0.0, net.failure_cost, 0.0)
-
-
 def offset_with_income(net, ext_frac, signs, income):
     """Orthant offset when per-company external income is ``income``
     instead of the network's asset portfolio."""
     signs = np.asarray(signs, dtype=np.float64)
-    W = (net.cross_holdings * ext_frac[:, None]) / ext_frac[None, :]
-    pen = signature_penalty(net, signs)
-    return signs * (W @ net.thresholds - net.thresholds + ext_frac * (income - pen))
+    W = coupling_matrix(net, ext_frac)
+    pen = failure_penalty(signs, net.failure_cost)
+    return signs * _drive(net, ext_frac, W, income - pen)
 
 
 def design_u1(net, ext_frac, signs, xi):
@@ -70,7 +70,7 @@ def design_u1(net, ext_frac, signs, xi):
     signs = np.asarray(signs, dtype=np.float64)
     xi = _check_slack(xi, net.n_companies)
     base = threshold_income(net, ext_frac)
-    u1 = base + signature_penalty(net, signs) + signs * xi
+    u1 = base + failure_penalty(signs, net.failure_cost) + signs * xi
     b_tilde = offset_with_income(net, ext_frac, signs, u1)
     if not (b_tilde >= -GAIN_TOL).all():
         raise NumericalBreakdown("designed offset went negative")
@@ -175,10 +175,9 @@ def build_lp2(w, p):
     n = w.shape[0]
     m = p.shape[0]
     eq = np.zeros((n, n * m))
-    for i in range(n):
-        eq[i, i * m : (i + 1) * m] = p
     ineq = np.zeros((n + m, n * m))
     for i in range(n):
+        eq[i, i * m : (i + 1) * m] = p
         ineq[i, i * m : (i + 1) * m] = 1.0
     for h in range(m):
         ineq[n + h, h::m] = 1.0
@@ -207,9 +206,8 @@ class InvestmentSolution:
     scale: float = 1.0
 
 
-def solve_investments(w, p, clamped=(), allow_scaling=True):
-    """Allocate assets to meet demands, shrinking them by the largest
-    feasible common scale when capacity cannot cover them.
+def admissible_scale(w, p):
+    """Largest scale ``s*`` <= 1 at which demands ``s* w`` fit prices ``p``.
 
     An allocation buying ``s w`` is a D >= 0 with row and column sums at
     most one and ``D p = s w``.  Pad the shorter of w and p with zeros
@@ -219,27 +217,36 @@ def solve_investments(w, p, clamped=(), allow_scaling=True):
     sum to at most the k largest prices.  Necessity is direct, since any
     k companies hold at most one share of each asset and k shares in
     all.  With ``W_k`` and ``P_k`` those partial sums, the largest
-    feasible scale is ``s* = min(1, min_k P_k / W_k)``, and one LP solve
-    at ``s*`` recovers the allocation.
+    feasible scale is ``s* = min(1, min_k P_k / W_k)``.
     """
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    n = w.shape[0]
-    m = p.shape[0]
+    n = len(w)
+    m = len(p)
     size = max(n, m)
     W = np.cumsum(np.sort(np.pad(w, (0, size - n)))[::-1])
     P = np.cumsum(np.sort(np.pad(p, (0, size - m)))[::-1])
     pos = W > 0.0
-    scale = min(1.0, float((P[pos] / W[pos]).min())) if pos.any() else 1.0
+    return min(1.0, float((P[pos] / W[pos]).min())) if pos.any() else 1.0
+
+
+def solve_investments(w, p, clamped=(), allow_scaling=True):
+    """Allocate assets buying ``s* w``, ``s* = admissible_scale(w, p)``, with
+    one LP solve.  The closed loop steps on income ``s* w``, so a ``D p``
+    missing it by more than ``FEAS_TOL`` raises ``NumericalBreakdown``."""
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    scale = admissible_scale(w, p)
     if scale < 1.0 and not allow_scaling:
         raise LpInfeasible("demands exceed what the assets can cover")
     sol = solve_lp(build_lp2(scale * w, p))
     if sol.status != OPTIMAL:
         raise NumericalBreakdown(f"allocation LP is {sol.status} at its feasible scale")
-    D = sol.z.reshape(n, m)
+    D = sol.z.reshape(w.shape[0], p.shape[0])
+    missed = np.abs(D @ p - scale * w)
+    if missed.max(initial=0.0) > FEAS_TOL:
+        raise NumericalBreakdown(f"allocation misses s* w by {missed.max():.3g}")
     return InvestmentSolution(
         D_new=D,
-        demands_met=np.abs(D @ p - scale * w),
+        demands_met=missed,
         clamped=list(clamped),
         scaled=scale < 1.0,
         scale=scale,
@@ -269,10 +276,19 @@ class ControlPlan:
 
 @dataclass
 class StepRecord:
+    """One controlled step: the dynamics received income ``scale *
+    demand``.  ``investment``, the allocation realizing it, is solved by
+    ``allocate`` on first read; assigning it replaces it."""
+
     t: int
     plan: ControlPlan
-    investment: InvestmentSolution
     demand: np.ndarray
+    scale: float
+    allocate: object = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def investment(self):
+        return self.allocate()
 
 
 @dataclass
@@ -281,7 +297,7 @@ class ClosedLoopRun:
     steps: list = field(default_factory=list)
 
     def scaled_steps(self):
-        return [rec.t for rec in self.steps if rec.investment.scaled]
+        return [rec.t for rec in self.steps if rec.scale < 1.0]
 
 
 MODE_U1 = "u1_only"
@@ -301,10 +317,11 @@ def simulate_closed_loop(
     """Run the cascade dynamics with control switching on at
     ``activation_t``.
 
-    Each controlled step rebuilds the feedforward from the current
-    signature (tolerating the currently failed magnitudes), in
-    ``MODE_U1_U2`` redesigns the gain, allocates investments, and steps
-    the dynamics on the allocation's realized income.
+    The first ``activation_t`` steps are :func:`simulate`.  Each
+    controlled step rebuilds the feedforward from the current signature
+    (tolerating the currently failed magnitudes), in ``MODE_U1_U2``
+    redesigns the gain, and steps the same kernel on income ``s* w``
+    without an LP; steps with equal demands share one lazy allocation.
     """
     if mode not in (MODE_U1, MODE_U1_U2):
         raise ValueError(f"unknown mode {mode!r}")
@@ -312,59 +329,45 @@ def simulate_closed_loop(
         raise ValueError("activation time must lie within the horizon")
     n = net.n_companies
     xi = default_slack(net) if xi is None else _check_slack(xi, n)
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    W = (net.cross_holdings * ext_frac[:, None]) / ext_frac[None, :]
-    drive = W @ net.thresholds - net.thresholds
-    income0 = net.external_income()
-
+    W = coupling_matrix(net, ext_frac)
+    pen = ext_frac * net.failure_cost
     errors = np.empty((horizon + 1, n))
-    errors[0] = x0
-    x = x0.copy()
-    steps = []
-    lp2_cache = {}
-    for t in range(horizon):
-        if t < activation_t:
-            income = income0
-        else:
-            signs = signature_of(x)
-            failed = signs < 0.0
-            if failed.any():
-                box = FailureBoundBox(np.where(failed, -np.minimum(x, 0.0), 0.0))
-                u1 = design_u1_bounded(net, ext_frac, signs, box, xi)
-            else:
-                u1 = design_u1(net, ext_frac, signs, xi)
-            if mode == MODE_U1_U2:
-                gain = design_K(net, ext_frac, signs, epsilon)
-                u2 = signs * (gain @ (signs * x))
-            else:
-                gain = None
-                u2 = np.zeros(n)
-            w = clamp_demands(u1, u2, signs)
-            key = w.tobytes()
-            invest = lp2_cache.get(key)
-            if invest is None:
-                clamped = np.flatnonzero(w != u1 + u2).tolist()
-                invest = solve_investments(w, net.prices, clamped=clamped)
-                lp2_cache[key] = invest
-            income = invest.D_new @ net.prices
-            plan = ControlPlan(
-                u1=u1,
-                K_tilde=gain,
-                xi=xi,
-                epsilon=epsilon,
-                activation_t=activation_t,
-                signs=signs,
-            )
-            steps.append(StepRecord(t=t, plan=plan, investment=invest, demand=w))
-        pen = failure_penalty(x, net.failure_cost)
-        x = W @ x + drive + ext_frac * (income - pen)
-        errors[t + 1] = x
+    errors[: activation_t + 1] = simulate(net, ext_frac, x0, activation_t).errors
 
-    signs_path = np.where(errors < 0.0, -1.0, 1.0)
-    traj = Trajectory(
-        errors=errors, signs=signs_path, events=_events_from_signs(signs_path)
-    )
-    return ClosedLoopRun(trajectory=traj, steps=steps)
+    @functools.cache
+    def allocation(key, clamped):
+        return solve_investments(np.frombuffer(key), net.prices, clamped=clamped)
+
+    steps = []
+    for t in range(activation_t, horizon):
+        x = errors[t]
+        signs = signature_of(x)
+        failed = signs < 0.0
+        if failed.any():
+            box = FailureBoundBox(np.where(failed, -np.minimum(x, 0.0), 0.0))
+            u1 = design_u1_bounded(net, ext_frac, signs, box, xi)
+        else:
+            u1 = design_u1(net, ext_frac, signs, xi)
+        gain = None
+        if mode == MODE_U1_U2:
+            gain = design_K(net, ext_frac, signs, epsilon)
+        plan = ControlPlan(
+            u1=u1,
+            K_tilde=gain,
+            xi=xi,
+            epsilon=epsilon,
+            activation_t=activation_t,
+            signs=signs,
+        )
+        u2 = plan.u2_of(signs * x)
+        w = clamp_demands(u1, u2, signs)
+        scale = admissible_scale(w, net.prices)
+        drive = _drive(net, ext_frac, W, scale * w)
+        errors[t + 1] = _simulate_steps(W, drive, pen, x, 1)[1]
+        clamped = tuple(np.flatnonzero(w != u1 + u2).tolist())
+        allocate = functools.partial(allocation, w.tobytes(), clamped)
+        steps.append(StepRecord(t, plan, w, scale, allocate))
+    return ClosedLoopRun(trajectory=Trajectory.from_errors(errors), steps=steps)
 
 
 def _triplets(M, tol=0.0):
@@ -386,8 +389,8 @@ def write_control_log(path, run):
             if rec.plan.K_tilde is not None
             else [],
             "D_new": _triplets(rec.investment.D_new, tol=1e-15),
-            "lp_status": "scaled" if rec.investment.scaled else "optimal",
-            "scale": rec.investment.scale,
+            "lp_status": "scaled" if rec.scale < 1.0 else "optimal",
+            "scale": rec.scale,
             "clamped": [int(i) for i in rec.investment.clamped],
         }
         doc["steps"].append(entry)

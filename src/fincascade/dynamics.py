@@ -86,8 +86,13 @@ def step_error(net, ext_frac, x):
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     W = coupling_matrix(net, ext_frac)
-    drive = W @ net.thresholds - net.thresholds + ext_frac * net.external_income()
+    drive = _drive(net, ext_frac, W, net.external_income())
     return W @ x + drive - ext_frac * failure_penalty(x, net.failure_cost)
+
+
+def _drive(net, ext_frac, W, income):
+    """Constant term ``(W - I) thr + ext * income`` of the step map."""
+    return W @ net.thresholds - net.thresholds + ext_frac * income
 
 
 @dataclass
@@ -112,12 +117,8 @@ def orthant_system(net, ext_frac, signs):
     np.fill_diagonal(A, 0.0)
     # Inside the orthant the penalty is a constant: failed companies pay
     # the full cost, healthy ones pay nothing.
-    pen = np.where(signs < 0.0, net.failure_cost, 0.0)
-    b = signs * (
-        W @ net.thresholds
-        - net.thresholds
-        + ext_frac * (net.external_income() - pen)
-    )
+    pen = failure_penalty(signs, net.failure_cost)
+    b = signs * _drive(net, ext_frac, W, net.external_income() - pen)
     return OrthantSystem(signs, A, b)
 
 
@@ -150,35 +151,31 @@ class Trajectory:
     def failed_set(self, t):
         return np.flatnonzero(self.errors[t] < 0.0)
 
-
-def _events_from_signs(signs):
-    events = []
-    flips = np.argwhere(signs[1:] != signs[:-1])
-    for step, company in flips:
-        direction = "fail" if signs[step + 1, company] < 0 else "recover"
-        events.append(FailureEvent(int(step) + 1, int(company), direction))
-    return events
+    @classmethod
+    def from_errors(cls, errors):
+        """Trajectory of an error history; events list every sign change
+        in step order."""
+        signs = np.where(errors < 0.0, -1.0, 1.0)
+        events = []
+        flips = np.argwhere(signs[1:] != signs[:-1])
+        for step, company in flips:
+            direction = "fail" if signs[step + 1, company] < 0 else "recover"
+            events.append(FailureEvent(int(step) + 1, int(company), direction))
+        return cls(errors, signs, events)
 
 
 def simulate(net, ext_frac, x0, horizon):
-    """Iterate :func:`step_error` for ``horizon`` steps.
-
-    Returns the full :class:`Trajectory`; events list every sign change
-    in step order.
-    """
+    """Iterate :func:`step_error` for ``horizon`` steps and return the
+    full :class:`Trajectory`."""
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
     if x0.shape[0] != net.n_companies:
         raise DimensionMismatch("x0 length does not match the network")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    W = np.ascontiguousarray(coupling_matrix(net, ext_frac))
-    drive = np.ascontiguousarray(
-        W @ net.thresholds - net.thresholds + ext_frac * net.external_income()
-    )
-    pen = np.ascontiguousarray(ext_frac * net.failure_cost)
-    hist = _simulate_steps(W, drive, pen, x0, int(horizon))
-    signs = np.where(hist < 0.0, -1.0, 1.0)
-    return Trajectory(hist, signs, _events_from_signs(signs))
+    W = coupling_matrix(net, ext_frac)
+    drive = _drive(net, ext_frac, W, net.external_income())
+    pen = ext_frac * net.failure_cost
+    return Trajectory.from_errors(_simulate_steps(W, drive, pen, x0, int(horizon)))
 
 
 def _simulate_steps(W, drive, pen, x0, steps):

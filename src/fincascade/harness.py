@@ -44,6 +44,25 @@ from .network import (
 X0_PRESETS = ("alternating", "linspace", "values")
 CONTROL_MODES = ("open", "u1", "u1u2")
 _MODE_MAP = {"u1": MODE_U1, "u1u2": MODE_U1_U2}
+_NETWORK_KEYS = ("file", "kind", "n", "link_prob", "exponent", "weight")
+_TOP_KEYS = ("horizon", "seeds", "outputs", "network", "market", "x0", "control")
+
+
+def _known_keys(doc, section, known):
+    """Return ``doc`` after checking it is an object naming only ``known``
+    keys.  An unknown key fails loudly rather than being ignored, so a
+    typo cannot silently run at a default and a field that once existed
+    cannot silently change meaning."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"the {section} section must be a JSON object")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {section} settings {unknown}")
+    return doc
+
+
+def _spec_from_dict(cls, doc, section):
+    return cls(**_known_keys(doc, section, [f.name for f in fields(cls)]))
 
 
 @dataclass
@@ -66,7 +85,7 @@ class MarketSpec:
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(**doc)
+        return _spec_from_dict(cls, doc, "market")
 
 
 @dataclass
@@ -90,12 +109,7 @@ class InitialSpec:
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(
-            preset=doc.get("preset", "alternating"),
-            lo=doc.get("lo", 1.0),
-            hi=doc.get("hi", 5000.0),
-            values=doc.get("values"),
-        )
+        return _spec_from_dict(cls, doc, "x0")
 
 
 @dataclass
@@ -110,12 +124,7 @@ class ControlSpec:
 
     @classmethod
     def from_dict(cls, doc):
-        # an unknown key fails loudly rather than being ignored, so a
-        # field that once existed cannot silently change meaning
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown control settings {unknown}")
-        return cls(**doc)
+        return _spec_from_dict(cls, doc, "control")
 
 
 @dataclass
@@ -156,10 +165,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        try:
-            net_doc = doc["network"]
-        except (KeyError, TypeError):
+        _known_keys(doc, "top-level", _TOP_KEYS)
+        if "network" not in doc:
             raise ConfigError("config is missing the network section")
+        net_doc = _known_keys(doc["network"], "network", _NETWORK_KEYS)
         cfg = cls(
             horizon=doc.get("horizon", 300),
             seeds=list(doc.get("seeds", [0])),

@@ -9,6 +9,8 @@ import pytest
 from fincascade import (
     FinancialNetwork,
     LinearProgram,
+    LpSolution,
+    admissible_scale,
     build_lp2,
     check_row_sum_stability,
     clamp_demands,
@@ -40,7 +42,12 @@ from fincascade.errors import (
     LpInfeasible,
     NumericalBreakdown,
 )
-from fincascade.harness import ScenarioConfig, build_network
+from fincascade.harness import (
+    ScenarioConfig,
+    build_network,
+    initial_errors,
+    preset_baseline100,
+)
 from fincascade.lp_solver import INFEASIBLE, OPTIMAL
 
 from helpers import build_lp1, decoupled_stable_instance, loose_instance
@@ -331,6 +338,17 @@ def test_lp2_over_capacity_solves_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_lp2_allocation_missing_its_demand_raises(monkeypatch):
+    # an optimal status is not enough: the closed loop steps on s* w, so
+    # an allocation that does not buy it must not reach the log
+    def wrong_optimum(lp):
+        return LpSolution(OPTIMAL, np.zeros(lp.n_vars), 0.0, 0)
+
+    monkeypatch.setattr(control, "solve_lp", wrong_optimum)
+    with pytest.raises(NumericalBreakdown):
+        solve_investments(np.array([3.0]), np.array([2.0, 4.0]))
+
+
 def test_lp2_solution_invariants():
     rng = np.random.default_rng(47)
     for _ in range(40):
@@ -452,3 +470,82 @@ def test_control_log_structure(tmp_path):
     assert set(first) >= {"t", "u1", "w", "K_tilde", "D_new", "lp_status", "scale"}
     assert first["lp_status"] in ("optimal", "scaled")
     assert all(len(trip) == 3 for trip in first["D_new"])
+    for rec in doc["steps"]:
+        assert rec["scale"] == admissible_scale(np.array(rec["w"]), net.prices)
+
+
+def _newly_failed(errors, activation):
+    """Companies healthy at ``activation`` that fail at any later step."""
+    healthy = errors[activation] >= 0.0
+    return int((errors[activation + 1 :, healthy] < 0.0).any(axis=0).sum())
+
+
+@pytest.mark.parametrize("mode", [MODE_U1, MODE_U1_U2])
+def test_closed_loop_prefix_is_the_open_loop(mode):
+    cfg = preset_baseline100()
+    net = build_network(cfg, 0)
+    ext = external_fractions(net)
+    x0 = initial_errors(cfg.x0, cfg.n)
+    open_errors = simulate(net, ext, x0, cfg.horizon).errors
+    for a in (0, 60, cfg.horizon):
+        run = simulate_closed_loop(net, ext, x0, cfg.horizon, a, mode=mode)
+        assert np.array_equal(run.trajectory.errors[: a + 1], open_errors[: a + 1])
+
+
+@pytest.mark.parametrize("link_prob", [0.8, 0.2])
+def test_closed_loop_stops_cascades_the_open_loop_spreads(link_prob):
+    # fresh networks with early activation, where the open loop still has
+    # companies left to lose (criterion 8's activation at step 60 comes
+    # after the open loop has settled)
+    cfg = preset_baseline100()
+    cfg.link_prob = link_prob
+    horizon = 80
+    x0 = initial_errors(cfg.x0, cfg.n)
+    for seed in (9001, 9002, 9003):
+        net = build_network(cfg, seed)
+        ext = external_fractions(net)
+        open_errors = simulate(net, ext, x0, horizon).errors
+        for a in (1, 3):
+            assert _newly_failed(open_errors, a) >= 1, (seed, a)
+            u1 = simulate_closed_loop(net, ext, x0, horizon, a, mode=MODE_U1)
+            u1u2 = simulate_closed_loop(net, ext, x0, horizon, a, mode=MODE_U1_U2)
+            assert _newly_failed(u1.trajectory.errors, a) == 0, (seed, a)
+            assert _newly_failed(u1u2.trajectory.errors, a) == 0, (seed, a)
+            last_move = np.abs(np.diff(u1.trajectory.errors[-2:], axis=0)).max()
+            assert last_move <= 1e-9, (seed, a, last_move)
+
+
+def test_closed_loop_solves_lp_only_when_the_log_reads_allocations(
+    monkeypatch, tmp_path
+):
+    cfg = preset_baseline100()
+    cfg.n = 12
+    cfg.market.thresholds, cfg.market.failure_cost = 10.0, 50.0
+    cfg.x0.lo, cfg.x0.hi = 0.1, 500.0
+    net = build_network(cfg, 0)
+    ext = external_fractions(net)
+    x0 = initial_errors(cfg.x0, cfg.n)
+    calls = []
+
+    def counting_solve_lp(lp):
+        calls.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(control, "solve_lp", counting_solve_lp)
+    for mode in (MODE_U1, MODE_U1_U2):
+        run = simulate_closed_loop(
+            net, ext, x0, 20, activation_t=5, epsilon=0.05, mode=mode
+        )
+        assert calls == [], mode
+        distinct = {rec.demand.tobytes() for rec in run.steps}
+        assert 1 < len(distinct) < len(run.steps), mode
+        write_control_log(tmp_path / "control_log.json", run)
+        assert len(calls) == len(distinct), mode
+        for rec in run.steps:
+            D = rec.investment.D_new
+            np.testing.assert_allclose(
+                D @ net.prices, rec.scale * rec.demand, rtol=0, atol=1e-8
+            )
+        write_control_log(tmp_path / "control_log.json", run)
+        assert len(calls) == len(distinct), mode
+        calls.clear()

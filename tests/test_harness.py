@@ -130,6 +130,25 @@ def test_config_rejects_removed_freeze_gain(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [("market", "price_stp"), ("x0", "preest"), ("network", "link_prop"),
+     (None, "horizn")],
+)
+def test_config_rejects_unknown_keys(tmp_path, section, key):
+    # a misspelled setting must not run at its default (a network
+    # "link_prop" would silently keep link_prob at 0.2)
+    doc = tiny_config(tmp_path / "runs").to_dict()
+    (doc if section is None else doc[section])[key] = 1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["run-preset", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 # -------------------------------------------------------------------- runner
 
 
